@@ -8,11 +8,10 @@ graph and queries also run on the deterministic
 process runs must match exactly (``results_equal``) — the simulator is
 the correctness referee, the processes are the performance claim.
 
-Node-program execution splits client/worker (see
-:mod:`~repro.cluster.process`): program logic runs in the client, while
-the multi-version visibility work runs in the shard workers, one
-pipelined request per shard per round.  Adding workers therefore adds
-resolution throughput **only on multi-core hardware** — the recorded
+Node programs run at the shard workers (see
+:mod:`~repro.cluster.process`): each worker executes its slice of every
+round and forwards frontiers to its peers.  Adding workers therefore
+adds throughput **only on multi-core hardware** — the recorded
 ``cpu_count`` tells the consumer whether the scaling number means
 anything on the host that produced it.
 
@@ -21,11 +20,10 @@ anything on the host that produced it.
 each carrying the ``cpu_count`` it was measured on; see
 :func:`record_bench` for the provenance rules).
 
-:func:`resident_comparison` times the same query batch in both
-execution modes against the same worker processes: ``images`` pulls
-vertex images to the client every round, ``resident`` ships the program
-to the shards and forwards frontiers peer-to-peer, so only O(shards)
-coordination frames per round touch the wire the client can see.
+:func:`resident_batch` counts what one BFS batch costs on the wire the
+client sees — one ``program_start`` per query on top of the readiness
+fan-out — and the peer coordination per round, checked against the
+direct deployment's answers.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from typing import Dict, List, Tuple
 
 from ..cluster.process import ProcessWeaver
 from ..db.config import WeaverConfig
+from ..db.database import Weaver
 from ..db.operations import CreateEdge, CreateVertex
 from ..programs.library import Bfs, CollectReachable, params
 from ..sim.deployment import SimulatedWeaver
@@ -96,27 +95,7 @@ def run_process(
         num_shards=num_shards, num_gatekeepers=num_gatekeepers
     )
     with ProcessWeaver(config) as db:
-        tx = db.begin_transaction()
-        pending = 0
-        for handle in handles:
-            tx.create_vertex(handle)
-            pending += 1
-            if pending >= ops_per_tx:
-                tx.commit()
-                tx = db.begin_transaction()
-                pending = 0
-        for src, dst in edges:
-            tx.create_edge(src, dst)
-            pending += 1
-            if pending >= ops_per_tx:
-                tx.commit()
-                tx = db.begin_transaction()
-                pending = 0
-        if pending:
-            tx.commit()
-        else:
-            tx.abort()
-        db.drain()
+        load_graph(db, handles, edges, ops_per_tx)
         # Warm-up query: pays the readiness storm and worker page-in so
         # the timed batch measures steady-state resolution throughput.
         db.run_program(CollectReachable(), roots[0])
@@ -221,7 +200,8 @@ def scaling_experiment(
     }
 
 
-def _load_graph(db: ProcessWeaver, handles, edges, ops_per_tx=100) -> None:
+def load_graph(db, handles, edges, ops_per_tx: int = 100) -> None:
+    """Bulk-load ``graph_spec`` output through ordinary transactions."""
     tx = db.begin_transaction()
     pending = 0
     for handle in handles:
@@ -245,92 +225,78 @@ def _load_graph(db: ProcessWeaver, handles, edges, ops_per_tx=100) -> None:
     db.drain()
 
 
-def _time_mode(db: ProcessWeaver, mode: str, roots) -> Dict:
-    """Time the query batch in one execution mode on live workers."""
-    db.config.program_execution = mode
-    # Warm-up pays the readiness storm / page-in / first-connect costs.
-    db.run_program(Bfs(), roots[0], params(depth=0))
-    before = db.metrics.snapshot()
-    results: QueryResults = []
-    started = time.perf_counter()
-    for root in roots:
-        outcome = db.run_program(Bfs(), root, params(depth=0))
-        results.append(tuple(sorted(outcome.results)))
-    elapsed = time.perf_counter() - started
-    after = db.metrics.snapshot()
-
-    def delta(key: str) -> float:
-        return after.get(key, 0) - before.get(key, 0)
-
-    point = {
-        "elapsed_seconds": elapsed,
-        "throughput_qps": len(roots) / elapsed if elapsed > 0 else 0.0,
-        "client_requests": delta("transport.requests"),
-        "client_bytes_sent": delta("transport.bytes_sent"),
-        "client_bytes_received": delta("transport.bytes_received"),
-        "rounds": delta("program.batch_rounds"),
-        "results": results,
-    }
-    rounds = point["rounds"]
-    if mode == "resident":
-        # Peer coordination per round: forwards + round_go + reports,
-        # every one bounded by the shard count, not the frontier size.
-        coordination = (
-            delta("program.resident.forwards_sent")
-            + delta("program.resident.round_reports")
-        )
-        point["forwards_sent"] = delta("program.resident.forwards_sent")
-        point["wire_messages_per_round"] = (
-            coordination / rounds if rounds else 0.0
-        )
-    else:
-        # Image pulls: one resolve request per touched shard per round,
-        # whose replies carry O(frontier) vertex images back.
-        point["wire_messages_per_round"] = (
-            delta("program.shard_batches") / rounds if rounds else 0.0
-        )
-        point["images_pulled"] = delta("program.vertices_resolved")
-    return point
+def _bfs_batch(db, roots) -> QueryResults:
+    return [
+        tuple(sorted(db.run_program(Bfs(), root, params(depth=0)).results))
+        for root in roots
+    ]
 
 
-def resident_comparison(
+def resident_batch(
     num_vertices: int = 800,
     avg_degree: int = 12,
     num_shards: int = 4,
     num_queries: int = 12,
     seed: int = 37,
 ) -> Dict:
-    """Images vs resident on the same graph and the same workers.
+    """A multi-shard BFS batch on the process deployment, counted.
 
-    Multi-shard BFS batch, hash-partitioned so every query crosses
-    shards.  ``speedup`` is images-elapsed / resident-elapsed; on hosts
-    below :data:`MIN_MEANINGFUL_CORES` the number is recorded but makes
-    no parallelism claim.
+    Hash-partitioned so every query crosses shards.  Client requests
+    are read off the client transport; ``readiness_requests`` is the
+    ``advance_to`` fan-out (one per shard per probe, two probes when a
+    NOP storm runs).  Peer coordination (forwards + round reports) is
+    normalised per worker round slice.  ``results_equal`` compares the
+    answers with the direct deployment on the same graph.
     """
     handles, edges = graph_spec(num_vertices, avg_degree, seed)
     roots = query_roots(handles, num_queries, seed + 2)
     config = WeaverConfig(
         num_shards=num_shards, num_gatekeepers=2, partitioner="hash"
     )
+    direct = Weaver(config)
+    load_graph(direct, handles, edges)
+    reference = _bfs_batch(direct, roots)
     with ProcessWeaver(config) as db:
-        _load_graph(db, handles, edges)
-        images = _time_mode(db, "images", roots)
-        resident = _time_mode(db, "resident", roots)
-    results_equal = images.pop("results") == resident.pop("results")
+        load_graph(db, handles, edges)
+        # Warm-up pays the readiness storm / first-connect costs.
+        db.run_program(Bfs(), roots[0], params(depth=0))
+        stats = db.executor.stats
+
+        def probes() -> int:
+            return stats.readiness_fastpath_hits + 2 * stats.readiness_storms
+
+        # Snapshots fan out stats requests: take them outside the count.
+        before = db.metrics.snapshot()
+        requests, probes_before = db.transport.stats.requests, probes()
+        started = time.perf_counter()
+        results = _bfs_batch(db, roots)
+        elapsed = time.perf_counter() - started
+        client_requests = db.transport.stats.requests - requests
+        readiness = (probes() - probes_before) * num_shards
+        after = db.metrics.snapshot()
+
+    def delta(key: str) -> float:
+        return after.get(key, 0) - before.get(key, 0)
+
+    rounds = delta("program.batch_rounds")
+    coordination = (
+        delta("program.resident.forwards_sent")
+        + delta("program.resident.round_reports")
+    )
     return {
         "cpu_count": os.cpu_count(),
         "num_vertices": num_vertices,
         "num_edges": len(edges),
         "num_shards": num_shards,
         "num_queries": num_queries,
-        "images": images,
-        "resident": resident,
-        "speedup": (
-            images["elapsed_seconds"] / resident["elapsed_seconds"]
-            if resident["elapsed_seconds"] > 0
-            else 0.0
-        ),
-        "results_equal": results_equal,
+        "elapsed_seconds": elapsed,
+        "throughput_qps": len(roots) / elapsed if elapsed > 0 else 0.0,
+        "client_requests": client_requests,
+        "readiness_requests": readiness,
+        "rounds": rounds,
+        "forwards_sent": delta("program.resident.forwards_sent"),
+        "wire_messages_per_round": coordination / rounds if rounds else 0.0,
+        "results_equal": results == reference,
     }
 
 

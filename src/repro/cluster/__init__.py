@@ -3,8 +3,6 @@
 from .messages import (
     AnnounceMessage,
     Heartbeat,
-    ProgramRequest,
-    ProgramResponse,
     QueuedTransaction,
 )
 from .shard import ShardServer, ShardStats
@@ -14,8 +12,6 @@ from .replica import ReadReplica
 __all__ = [
     "AnnounceMessage",
     "Heartbeat",
-    "ProgramRequest",
-    "ProgramResponse",
     "QueuedTransaction",
     "ShardServer",
     "ShardStats",

@@ -92,7 +92,7 @@ def build_cluster(
         store = DistributedStore(cfg.store_nodes, cfg.store_replication)
     else:
         store = TransactionalStore()
-    mapping = ShardMapping(store, cfg.num_shards)
+    mapping = ShardMapping(store, cfg.num_shards, cfg.partitioner)
     if oracle is None:
         oracle = make_oracle(cfg.oracle_chain_length)
     # Geo shape: servers spread round-robin across regions, and each

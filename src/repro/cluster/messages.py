@@ -6,8 +6,8 @@ simulated network or direct calls) is supplied by the database layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 from ..core.vclock import VectorTimestamp
 from ..db.operations import Operation
@@ -63,31 +63,6 @@ class AnnounceMessage:
 
 
 @dataclass(frozen=True)
-class ProgramRequest:
-    """A node program dispatched to a shard (section 4.1).
-
-    ``trace_id`` is carried explicitly so shard-side spans attribute to
-    the submitting client's trace even across a process boundary, where
-    no ambient context survives — ``repro trace`` chains must assemble
-    identically under the in-process and multiprocess transports.
-    """
-
-    ts: VectorTimestamp
-    query_id: int
-    vertices: Tuple[Tuple[str, Any], ...]  # (vertex handle, prog params)
-    trace_id: Optional[int] = None
-
-
-@dataclass
-class ProgramResponse:
-    """What one shard round of a node program produced."""
-
-    query_id: int
-    next_hops: List[Tuple[str, Any]] = field(default_factory=list)
-    emitted: List[Any] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
 class ProgramStart:
     """Ship a node program to the start vertex's owning shard (section 4).
 
@@ -95,19 +70,22 @@ class ProgramStart:
     to the coordinator worker (the start vertex's owner) and receives
     only the aggregated result — program logic runs at the shards, and
     frontiers travel worker-to-worker as :class:`FrontierForward`
-    frames instead of vertex images travelling to the client.
+    frames.
 
     ``frontier`` is the keyed initial frontier: ``(order_key, handle,
     params)`` triples, where ``order_key`` is the tuple that totally
     orders entries exactly like the batched executor's append order
     (children extend their parent's key with the hop index).
+    ``program`` is the :func:`~repro.programs.framework.program_spec`
+    of the program — class path plus instance state — which every
+    participating worker rebuilds with ``load_program``.
     ``cache_tail`` is the client-computed program-cache key tail
     (section 4.6); None disables caching for this run.
     """
 
     ts: VectorTimestamp
     query_id: int
-    program: str
+    program: Tuple[str, str, Tuple[Tuple[str, Any], ...]]
     frontier: Tuple[Tuple[Any, str, Any], ...]
     trace_id: Optional[int] = None
     cache_tail: Optional[Any] = None

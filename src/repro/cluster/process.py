@@ -8,25 +8,17 @@ server and the timeline oracle run as separate OS processes speaking
 length-prefixed :mod:`~repro.cluster.wire` frames over UNIX sockets
 (:class:`~repro.cluster.transport.ProcessTransport`).
 
-Division of labour per node program (``config.program_execution``):
-
-* ``"resident"`` (the default) ships the program *to the data*: the
-  client submits one :class:`~repro.cluster.messages.ProgramStart` to
-  the start vertex's owning shard, each worker runs its slice of every
-  scatter-gather round against its local snapshot, and next frontiers
-  travel worker-to-worker as ``FrontierForward`` frames — O(shards)
-  wire messages per round instead of O(frontier).  The coordinating
-  worker detects round quiescence and replies with only the aggregated
-  result and read set (section 4's shard-to-shard propagation);
-* ``"images"`` keeps the legacy split: the client-side
-  :class:`~repro.programs.framework.ProgramExecutor` runs program logic
-  on plain vertex images pulled per round via pipelined ``resolve``
-  requests.  Programs carrying constructor state (not reconstructible
-  from their name) always fall back to this path.
-
-Either way results stay byte-identical to the simulated twin; the
-Fig 13-style scaling benchmark measures what residency buys on top of
-parallel resolution.
+Node programs run *at the data*: the client submits one
+:class:`~repro.cluster.messages.ProgramStart` — carrying the program's
+:func:`~repro.programs.framework.program_spec`, so configured programs
+keep their configuration — to the start vertex's owning shard.  Each
+worker runs its slice of every scatter-gather round against its local
+snapshot, and next frontiers travel worker-to-worker as
+``FrontierForward`` frames: O(shards) wire messages per round, not
+O(frontier).  The coordinating worker detects round quiescence and
+replies with only the aggregated result and read set (section 4's
+shard-to-shard propagation), identical to what the batched executor of
+the in-process deployments returns.
 """
 
 from __future__ import annotations
@@ -34,10 +26,11 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import shutil
 import socket
 import tempfile
 from types import SimpleNamespace
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import VectorTimestamp
@@ -46,184 +39,17 @@ from ..db.operations import graph_state_from_store
 from ..db.transactions import Transaction
 from ..errors import ClusterError, NoSuchVertex, ProgramError
 from ..obs.collect import scalar_fields
-from ..programs.caching import ProgramCache
-from ..programs.framework import NodeProgram, ProgramResult
-from ..programs.library import resident_eligible
+from ..programs.framework import NodeProgram, ProgramResult, program_spec
 from ..programs.state import WatermarkRegistry
 from .builder import build_cluster
-from .messages import ProgramRequest, ProgramStart, QueuedTransaction
+from .messages import ProgramStart, QueuedTransaction
 from .transport import ProcessTransport, TransportError
+from .wire import WireError
 from .worker import OracleProxy, oracle_worker_main, shard_worker_main
 
 import dataclasses
 
 StartSpec = Any
-
-
-# -- remote vertex views -------------------------------------------------
-
-
-class RemoteEdgeView:
-    """A visible out-edge decoded from a worker's vertex image.
-
-    Duck-types :class:`~repro.graph.mvgraph.EdgeView`: the worker already
-    resolved visibility at the program timestamp, so properties are a
-    plain dict here.
-    """
-
-    __slots__ = ("handle", "src", "nbr", "_props")
-
-    def __init__(self, handle: str, src: str, nbr: str, props: dict):
-        self.handle = handle
-        self.src = src
-        self.nbr = nbr
-        self._props = props
-
-    @property
-    def dst(self) -> str:
-        return self.nbr
-
-    def check(self, key: str, value: Any = None) -> bool:
-        if key not in self._props:
-            return False
-        return value is None or self._props[key] == value
-
-    def get_property(self, key: str, default: Any = None) -> Any:
-        return self._props.get(key, default)
-
-    def properties(self) -> dict:
-        return dict(self._props)
-
-
-class RemoteVertexView:
-    """A visible vertex decoded from a worker's image — what the
-    client-side executor hands to ``program.run``."""
-
-    __slots__ = ("handle", "_props", "_edges", "prog_state")
-
-    def __init__(self, image: dict):
-        self.handle = image["handle"]
-        self._props = image["properties"]
-        self._edges = [
-            RemoteEdgeView(handle, self.handle, nbr, props)
-            for handle, nbr, props in image["edges"]
-        ]
-        self.prog_state: Any = None
-
-    @property
-    def neighbors(self) -> List[RemoteEdgeView]:
-        return list(self._edges)
-
-    def out_degree(self) -> int:
-        return len(self._edges)
-
-    def get_edge(self, handle: str) -> Optional[RemoteEdgeView]:
-        for edge in self._edges:
-            if edge.handle == handle:
-                return edge
-        return None
-
-    def get_property(self, key: str, default: Any = None) -> Any:
-        return self._props.get(key, default)
-
-    def check(self, key: str, value: Any = None) -> bool:
-        if key not in self._props:
-            return False
-        return value is None or self._props[key] == value
-
-    def properties(self) -> dict:
-        return dict(self._props)
-
-
-class ProcessShardResolver:
-    """The executor's resolver over worker processes.
-
-    ``resolve_many`` groups one round's frontier by owning shard and
-    issues one pipelined ``resolve`` request per shard — every request
-    is written before any reply is read, so workers run their share of
-    the round concurrently.  Workers keep one snapshot view per (query,
-    shard) across rounds (their ``fresh`` flag tells the client when the
-    snapshot construction was actually paid); the client keeps a
-    per-query vertex cache so cross-round revisits cost no request.
-    """
-
-    def __init__(self, db: "ProcessWeaver", ts: VectorTimestamp,
-                 query_id: int, trace_id: Optional[int]):
-        self._db = db
-        self._ts = ts
-        self._query_id = query_id
-        self._trace_id = trace_id
-        self._vertices: Dict[str, Optional[RemoteVertexView]] = {}
-        #: Shard indices holding a snapshot for this query (told fresh).
-        self.shards_touched: set = set()
-        self.shard_rounds: List[Dict[int, int]] = []
-
-    @property
-    def timestamp(self) -> VectorTimestamp:
-        return self._ts
-
-    def resolve_many(
-        self, handles: Iterable[str]
-    ) -> Dict[str, Optional[RemoteVertexView]]:
-        db = self._db
-        stats = db.executor.stats
-        out: Dict[str, Optional[RemoteVertexView]] = {}
-        per_shard: Dict[int, List[str]] = {}
-        cache = self._vertices
-        cache_hits = 0
-        for handle in handles:
-            if handle in out:
-                continue
-            if handle in cache:
-                out[handle] = cache[handle]
-                cache_hits += 1
-                continue
-            out[handle] = None
-            shard_index = db._shard_of(handle)
-            if shard_index is not None:
-                per_shard.setdefault(shard_index, []).append(handle)
-        round_counts: Dict[int, int] = {}
-        order = sorted(per_shard)
-        calls = [
-            (
-                db.shard_name(shard_index),
-                "resolve",
-                ProgramRequest(
-                    self._ts,
-                    self._query_id,
-                    tuple((h, None) for h in per_shard[shard_index]),
-                    self._trace_id,
-                ),
-            )
-            for shard_index in order
-        ]
-        replies = db.transport.request_all("client", calls)
-        for shard_index, reply in zip(order, replies):
-            batch = per_shard[shard_index]
-            self.shards_touched.add(shard_index)
-            fresh = reply["fresh"]
-            if fresh:
-                stats.snapshots_created += 1
-            for handle in batch:
-                image = reply["images"].get(handle)
-                node = None if image is None else RemoteVertexView(image)
-                cache[handle] = node
-                out[handle] = node
-            round_counts[shard_index] = len(batch)
-            stats.shard_batches += 1
-            stats.vertices_resolved += len(batch)
-            stats.snapshot_reuse_hits += len(batch) - (1 if fresh else 0)
-            stats.round_messages_saved += len(batch) - 1
-        if round_counts:
-            self.shard_rounds.append(round_counts)
-        if cache_hits:
-            stats.vertices_resolved += cache_hits
-            stats.snapshot_reuse_hits += cache_hits
-            stats.round_messages_saved += cache_hits
-        return out
-
-    def __call__(self, handle: str) -> Optional[RemoteVertexView]:
-        return self.resolve_many([handle])[handle]
 
 
 # -- the deployment -------------------------------------------------------
@@ -529,11 +355,9 @@ class ProcessWeaver:
     ) -> ProgramResult:
         """Execute a node program on a consistent snapshot.
 
-        With ``config.program_execution == "resident"`` and a stock
-        program, execution is shipped to the shard workers (one
-        ``program_start`` request; frontiers travel peer-to-peer);
-        otherwise the client-side executor pulls vertex images.  With
-        ``use_cache`` (requires ``enable_program_cache``), the
+        Execution is shipped to the shard workers (one
+        ``program_start`` request; frontiers travel peer-to-peer).
+        With ``use_cache`` (requires ``enable_program_cache``), the
         coordinating worker may serve a memoized result after
         revalidating every fragment's change counters.
         """
@@ -553,43 +377,16 @@ class ProcessWeaver:
             ts=ts, query_id=query_id,
         )
         self._make_shards_ready(ts)
-        if (
-            self.config.program_execution == "resident"
-            and frontier
-            and resident_eligible(program)
-        ):
-            cache_tail: Optional[Hashable] = None
-            if use_cache and self.config.enable_program_cache:
-                key_tail = (
-                    cache_key if cache_key is not None else repr(params)
-                )
-                # Historical queries read a different cut of the graph:
-                # the snapshot identity is part of the key (section 4.6).
-                if at is not None:
-                    key_tail = (key_tail, at.id)
-                cache_tail = key_tail
-            return self._run_resident(
-                program, frontier, ts, query_id, trace_id, cache_tail
-            )
-        self.watermarks.start(query_id, ts)
-        resolver = ProcessShardResolver(self, ts, query_id, trace_id)
-        try:
-            result = self.executor.execute(
-                program, frontier, resolver, ts, query_id
-            )
-        finally:
-            self.watermarks.finish(query_id)
-            # One-way: workers drop their per-query snapshot views.
-            for shard_index in resolver.shards_touched:
-                self.transport.send(
-                    "client", self.shard_name(shard_index),
-                    "finish", query_id,
-                )
-        self.programs_run += 1
-        self.tracer.emit(
-            trace_id, "program.complete", node="client", query_id=query_id
+        cache_tail: Optional[Hashable] = None
+        if use_cache and self.config.enable_program_cache:
+            cache_tail = cache_key if cache_key is not None else repr(params)
+            # Historical queries read a different cut of the graph: the
+            # snapshot identity is part of the key (section 4.6).
+            if at is not None:
+                cache_tail = (cache_tail, at.id)
+        return self._run_resident(
+            program, frontier, ts, query_id, trace_id, cache_tail
         )
-        return result
 
     def _run_resident(
         self,
@@ -613,11 +410,11 @@ class ProcessWeaver:
             ((i,), handle, entry_params)
             for i, (handle, entry_params) in enumerate(frontier)
         )
-        coordinator = self._shard_of(frontier[0][0])
+        coordinator = self._shard_of(frontier[0][0]) if frontier else None
         if coordinator is None or coordinator not in live:
             coordinator = live[0]
         ps = ProgramStart(
-            ts, query_id, program.name, keyed, trace_id=trace_id,
+            ts, query_id, program_spec(program), keyed, trace_id=trace_id,
             cache_tail=cache_tail, max_visits=self.executor._max_visits,
         )
         self.watermarks.start(query_id, ts)
@@ -625,7 +422,7 @@ class ProcessWeaver:
             payload = self.transport.request(
                 "client", self.shard_name(coordinator), "program_start", ps
             )
-        except TransportError as exc:
+        except (TransportError, WireError) as exc:
             raise ProgramError(str(exc)) from exc
         finally:
             self.watermarks.finish(query_id)
@@ -875,14 +672,8 @@ class ProcessWeaver:
         if self._oracle_proc.is_alive():
             self._oracle_proc.kill()
             self._oracle_proc.join(timeout=10)
-        try:
-            os.unlink(self._oracle_path)
-        except OSError:
-            pass
-        try:
-            os.rmdir(self._tmpdir)
-        except OSError:
-            pass
+        # The oracle and peer listening sockets live in the temp dir.
+        shutil.rmtree(self._tmpdir, ignore_errors=True)
         if hasattr(self.store, "close"):
             self.store.close()
 

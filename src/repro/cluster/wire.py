@@ -45,7 +45,7 @@ from . import messages
 
 #: Bump whenever a registered class's field tuple changes, whenever a
 #: class is added or removed, or whenever a tag's encoding changes.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -61,8 +61,6 @@ WIRE_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "QueuedTransaction": ("ts", "operations", "seqno", "tiebreak",
                           "trace_id"),
     "AnnounceMessage": ("src", "vector"),
-    "ProgramRequest": ("ts", "query_id", "vertices", "trace_id"),
-    "ProgramResponse": ("query_id", "next_hops", "emitted"),
     "ProgramStart": ("ts", "query_id", "program", "frontier", "trace_id",
                      "cache_tail", "max_visits"),
     "FrontierForward": ("query_id", "round", "hops"),
@@ -84,8 +82,6 @@ _CLASSES: Dict[str, Type] = {
     for cls in (
         messages.QueuedTransaction,
         messages.AnnounceMessage,
-        messages.ProgramRequest,
-        messages.ProgramResponse,
         messages.ProgramStart,
         messages.FrontierForward,
         messages.Heartbeat,

@@ -6,12 +6,11 @@ Two worker mains live here, each speaking length-prefixed
 * :func:`shard_worker_main` — one OS process per shard: owns a real
   :class:`~repro.cluster.shard.ShardServer` (the same event loop the
   simulator drives), enqueues gatekeeper-forwarded transactions,
-  advances to program timestamps, and serves **batch vertex
-  resolution**: for a program round it materializes each requested
-  vertex's snapshot image (visible properties and out-edges at the
-  program timestamp) so the expensive multi-version visibility work
-  runs in the worker, in parallel across shards, while the client-side
-  executor runs the program logic on plain data.
+  advances to program timestamps, and runs **node programs at the
+  data** (:class:`_ResidentEngine`): each worker executes its slice of
+  every scatter-gather round against its local snapshot and forwards
+  next frontiers to its peers; only the aggregated result returns to
+  the client.
 * :func:`oracle_worker_main` — the timeline oracle as its own process
   behind a UNIX listening socket; every shard worker (and the client,
   for the referee and GC) connects and speaks the small RPC surface of
@@ -37,19 +36,18 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.oracle import TimelineOracle
 from ..core.vclock import Ordering, VectorTimestamp
 from ..db.operations import touched_vertices
-from ..errors import WeaverError
+from ..errors import ProgramError, WeaverError
 from ..obs.metrics import MetricsRegistry
 from ..programs.caching import ChangeTracker, ProgramCache
-from ..programs.framework import ProgramStats, dedup_round, run_entry
-from ..programs.library import PROGRAM_REGISTRY
+from ..programs.framework import (
+    ProgramStats, dedup_round, load_program, run_entry,
+)
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import ProgramContext
 from . import wire
-from .messages import FrontierForward, ProgramRequest, ProgramStart
+from .messages import FrontierForward, ProgramStart
 from .shard import ShardServer
 from .transport import ProcessTransport, TransportError
-
-_RESOLVE_KINDS = ("resolve",)
 
 
 class BufferTracer:
@@ -163,19 +161,6 @@ class _AttrView:
 # -- the shard worker ----------------------------------------------------
 
 
-def _vertex_image(node) -> dict:
-    """A plain-data snapshot of one visible vertex: what crosses the
-    wire back to the client-side executor."""
-    return {
-        "handle": node.handle,
-        "properties": node.properties(),
-        "edges": [
-            (edge.handle, edge.nbr, edge.properties())
-            for edge in node.neighbors
-        ],
-    }
-
-
 class _ShardWorker:
     """The request loop around one ShardServer."""
 
@@ -206,9 +191,6 @@ class _ShardWorker:
             image = self._image_from_store(store_path)
         if image is not None and recovery_ts is not None:
             self._load_image(image, recovery_ts)
-        # Per-query snapshot views (+ resolved-vertex memo), dropped on
-        # the client's finish message.
-        self._queries: Dict[int, tuple] = {}
 
     def _image_from_store(self, store_path: str) -> tuple:
         """Reopen the durable database and carve out this shard's
@@ -261,21 +243,16 @@ class _ShardWorker:
                 self.stragglers_dropped += 1
                 return
             self.shard.enqueue(gk_index, qtx)
-        elif kind == "finish":
-            self._queries.pop(payload, None)
         else:
             raise WeaverError(f"unknown one-way message {kind!r}")
 
     def handle_request(self, kind: str, payload: Any) -> Any:
         shard = self.shard
-        if kind == "resolve":
-            return self._resolve(payload)
         if kind == "advance_to":
             return shard.advance_to(payload)
         if kind == "drain":
             return shard.apply_available()
         if kind == "advance_epoch":
-            self._queries.clear()
             shard.advance_epoch(payload)
             return True
         if kind == "collect_below":
@@ -293,29 +270,6 @@ class _ShardWorker:
             # acknowledgement before reaping the process.
             return True
         raise WeaverError(f"unknown request {kind!r}")
-
-    def _resolve(self, request: ProgramRequest) -> Dict[str, Any]:
-        """One shard's share of one scatter-gather round.
-
-        The per-(query, shard) snapshot view is created on the first
-        round and reused for the query's lifetime, exactly like
-        :class:`~repro.programs.routing.ShardSnapshotResolver` does
-        in-process; ``fresh`` tells the client whether this batch paid
-        the snapshot construction."""
-        shard = self.shard
-        entry = self._queries.get(request.query_id)
-        fresh = entry is None
-        if fresh:
-            view = shard.snapshot(request.ts)
-            entry = (view,)
-            self._queries[request.query_id] = entry
-        (view,) = entry
-        images: Dict[str, Any] = {}
-        for handle, _params in request.vertices:
-            shard.stats.vertices_read += 1
-            node = view.try_vertex(handle)
-            images[handle] = None if node is None else _vertex_image(node)
-        return {"images": images, "fresh": fresh}
 
     def _stats(self) -> dict:
         shard = self.shard
@@ -815,16 +769,15 @@ class _ResidentEngine:
         if query is None:
             return
         if query.program is None:
-            cls = PROGRAM_REGISTRY.get(payload["program"])
-            if cls is None:
+            try:
+                query.program = load_program(payload["program"])
+            except ProgramError as exc:
                 self._send_report(payload["coordinator"], {
                     "q": payload["q"], "round": payload["round"],
                     "worker": self.index, "sent": {}, "halt": None,
-                    "processed": 0,
-                    "error": f"unknown program {payload['program']!r}",
+                    "processed": 0, "error": str(exc),
                 })
                 return
-            query.program = cls()
             query.ctx = ProgramContext(payload["q"], payload["ts"])
             query.resolver = ShardSnapshotResolver(
                 payload["ts"], lambda handle: 0, [self.worker.shard],
@@ -1003,7 +956,7 @@ class _ResidentEngine:
             and ps.frontier
         ):
             cache_key = ProgramCache.key(
-                ps.program, ps.frontier[0][1], ps.cache_tail
+                repr(ps.program), ps.frontier[0][1], ps.cache_tail
             )
             cached = self.cache.get(cache_key)
             if cached is not None:

@@ -44,13 +44,6 @@ class WeaverConfig:
             for an ephemeral database; required to be a real path for
             multiprocess recovery, where workers reopen the file).
         store_cache_bytes: page-cache budget of the sqlite backend.
-        program_execution: where the process deployment runs node
-            programs — "resident" ships eligible programs to the shard
-            workers (rounds execute at the data, frontiers travel
-            worker-to-worker, O(shards) wire messages per round);
-            "images" forces the legacy client-side executor that pulls
-            vertex images (O(frontier) messages per round).  In-process
-            deployments ignore this knob.
         store_background_compaction: run durable-store compaction on an
             opportunistic background thread instead of synchronously
             inside every garbage-collection tick (watermark-safe via
@@ -77,7 +70,6 @@ class WeaverConfig:
     store_backend: str = "memory"
     store_path: str = ":memory:"
     store_cache_bytes: int = 8 * 1024 * 1024
-    program_execution: str = "resident"
     store_background_compaction: bool = False
     num_regions: int = 1
 
@@ -112,10 +104,6 @@ class WeaverConfig:
             )
         if self.store_cache_bytes < 0:
             raise ValueError("store_cache_bytes must be >= 0")
-        if self.program_execution not in ("resident", "images"):
-            raise ValueError(
-                f"unknown program_execution {self.program_execution!r}"
-            )
         if self.num_regions < 1:
             raise ValueError("num_regions must be >= 1")
         if self.num_regions > self.num_gatekeepers:

@@ -29,9 +29,8 @@ from ..cluster.shard import ShardServer
 from ..core.gatekeeper import Gatekeeper, sync_announce_all
 from ..core.vclock import VectorTimestamp
 from ..errors import ClusterError, NoSuchVertex
-from ..graph.partition import HashPartitioner, LdgPartitioner
 from ..programs.caching import ChangeTracker, ProgramCache
-from ..programs.framework import NodeProgram, ProgramExecutor, ProgramResult
+from ..programs.framework import NodeProgram, ProgramResult, program_spec
 from ..programs.routing import ShardSnapshotResolver
 from ..programs.state import WatermarkRegistry
 from ..store.kvstore import TransactionalStore
@@ -86,8 +85,6 @@ class Weaver:
         self._commits_since_drain = 0
         self._channel_seqno: Dict[Tuple[int, int], int] = {}
         self._placement: Dict[str, int] = {}
-        self._hash_partitioner = HashPartitioner(cfg.num_shards)
-        self._ldg_partitioner = LdgPartitioner(cfg.num_shards)
         self._paging_enabled = False
         self._replicas: list = []
         self.programs_run = 0
@@ -139,15 +136,9 @@ class Weaver:
         """Install shard assignments for created vertices, atomically with
         the transaction itself (they share the store transaction)."""
         for vertex in tx.created_vertices:
-            if self.config.partitioner == "hash":
-                shard = self._hash_partitioner.assign(vertex)
-                self.mapping.assign(vertex, tx=tx.store_tx, shard=shard)
-            elif self.config.partitioner == "ldg":
-                shard = self._ldg_partitioner.assign(vertex, ())
-                self.mapping.assign(vertex, tx=tx.store_tx, shard=shard)
-            else:
-                shard = self.mapping.assign(vertex, tx=tx.store_tx)
-            self._placement[vertex] = shard
+            self._placement[vertex] = self.mapping.assign(
+                vertex, tx=tx.store_tx
+            )
 
     def _shard_of(self, vertex: str) -> Optional[int]:
         shard = self._placement.get(vertex)
@@ -259,7 +250,11 @@ class Weaver:
             # vice versa), so the snapshot identity is part of the key.
             if at is not None:
                 key_tail = (key_tail, at.id)
-            cache_entry_key = ProgramCache.key(program.name, first, key_tail)
+            # Keyed on the program's class *and* configuration:
+            # WeightedShortestPath("w") must not serve ("x").
+            cache_entry_key = ProgramCache.key(
+                repr(program_spec(program)), first, key_tail
+            )
             cached = self.program_cache.get(cache_entry_key)
             if cached is not None:
                 # A hit is still a client-observed run: count it and

@@ -31,6 +31,7 @@ sequential deque would pop.
 
 from __future__ import annotations
 
+import importlib
 from collections import deque
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
@@ -42,6 +43,8 @@ from .state import ProgramContext
 
 NextHops = Iterable[Tuple[str, Any]]
 Resolver = Callable[[str], Optional[VertexView]]
+#: ``(module, qualname, state)``: a node program as plain data.
+ProgramSpec = Tuple[str, str, Tuple[Tuple[str, Any], ...]]
 
 
 class NodeProgram:
@@ -87,6 +90,48 @@ class NodeProgram:
         """Hook invoked when a next-hop vertex is invisible at the
         snapshot (deleted concurrently, or a dangling edge); default is
         to skip it silently, which is what traversals want."""
+
+
+def program_spec(program: NodeProgram) -> ProgramSpec:
+    """``program`` as plain data: its class's import path plus its
+    instance attributes, so a shard worker can rebuild it with the same
+    configuration (see :func:`load_program`)."""
+    cls = type(program)
+    return (
+        cls.__module__,
+        cls.__qualname__,
+        tuple(sorted(vars(program).items())),
+    )
+
+
+_PROGRAM_CLASSES: Dict[Tuple[str, str], type] = {}
+
+
+def load_program(spec: ProgramSpec) -> NodeProgram:
+    """Rebuild the program :func:`program_spec` described.
+
+    The class is imported by path (memoized per process) and the
+    instance is created without calling ``__init__``: the shipped state
+    *is* the configured instance.  A class the importer cannot reach —
+    say, one defined inside a function — raises :class:`ProgramError`.
+    """
+    module, qualname, state = spec
+    cls = _PROGRAM_CLASSES.get((module, qualname))
+    if cls is None:
+        try:
+            obj: Any = importlib.import_module(module)
+            for part in qualname.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError) as exc:
+            raise ProgramError(
+                f"unknown program {module}.{qualname}"
+            ) from exc
+        if not (isinstance(obj, type) and issubclass(obj, NodeProgram)):
+            raise ProgramError(f"{module}.{qualname} is not a node program")
+        cls = _PROGRAM_CLASSES[(module, qualname)] = obj
+    program = cls.__new__(cls)
+    program.__dict__.update(state)
+    return program
 
 
 class ProgramStats:

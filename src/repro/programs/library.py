@@ -276,41 +276,3 @@ class CollectReachable(NodeProgram):
 def params(**kwargs: Any) -> SimpleNamespace:
     """Convenience constructor for program parameters."""
     return SimpleNamespace(**kwargs)
-
-
-def _build_registry() -> dict:
-    """Name → class for every configuration-free stock program.
-
-    The shard-resident path ships a program *by name* and the worker
-    instantiates it locally, so only classes whose instances carry no
-    constructor state are eligible — a ``WeightedShortestPath`` built
-    with a custom ``weight_prop`` would silently lose its configuration.
-    Classes defining their own ``__init__`` are therefore excluded, and
-    the client falls back to image-pull execution for them.
-    """
-    from . import analytics
-
-    registry = {}
-    for module in (globals(), vars(analytics)):
-        for value in list(module.values()):
-            if (
-                isinstance(value, type)
-                and issubclass(value, NodeProgram)
-                and value is not NodeProgram
-                and value.__init__ is object.__init__
-            ):
-                registry[value.name] = value
-    return registry
-
-
-#: Programs eligible for shard-resident execution (ship-by-name).
-PROGRAM_REGISTRY = _build_registry()
-
-
-def resident_eligible(program: NodeProgram) -> bool:
-    """True when ``program`` can be reconstructed at a shard from its
-    name alone: a stock class with no instance configuration."""
-    return (
-        type(program) is PROGRAM_REGISTRY.get(program.name)
-        and not vars(program)
-    )

@@ -11,20 +11,40 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
+from ..graph.partition import HashPartitioner, LdgPartitioner
 from .kvstore import StoreTransaction, TransactionalStore
 
 _PREFIX = "__shardmap__:"
 
 
 class ShardMapping:
-    """Assigns vertices to shards and remembers the assignments."""
+    """Assigns vertices to shards and remembers the assignments.
 
-    def __init__(self, store: TransactionalStore, num_shards: int):
+    ``partitioner`` is the placement policy for new vertices, shared by
+    every deployment: "round_robin" (balanced, locality-blind), "hash"
+    (stable hash of the handle), or "ldg" (streaming greedy, section
+    4.6; new vertices arrive without neighbours, so it places by load).
+    """
+
+    def __init__(
+        self,
+        store: TransactionalStore,
+        num_shards: int,
+        partitioner: str = "round_robin",
+    ):
         if num_shards <= 0:
             raise ValueError("need at least one shard")
         self._store = store
         self._num_shards = num_shards
         self._next = 0  # round-robin cursor for balanced placement
+        if partitioner == "hash":
+            self._policy = HashPartitioner(num_shards)
+        elif partitioner == "ldg":
+            self._policy = LdgPartitioner(num_shards)
+        elif partitioner == "round_robin":
+            self._policy = None
+        else:
+            raise ValueError(f"unknown partitioner {partitioner!r}")
 
     @property
     def num_shards(self) -> int:
@@ -42,12 +62,12 @@ class ShardMapping:
     ) -> int:
         """Pick (or honor) a shard for a new vertex and record it.
 
-        Placement is round-robin by default — balanced load, the property
-        the evaluation needs; the streaming partitioners in
-        :mod:`repro.graph.partition` can compute better placements which
-        callers pass via ``shard``.
+        Without ``shard``, the configured partitioner places the vertex;
+        migration passes an explicit ``shard``.
         """
-        if shard is None:
+        if shard is None and self._policy is not None:
+            shard = self._policy.assign(vertex, ())
+        elif shard is None:
             shard = self._next % self._num_shards
             self._next += 1
         elif not 0 <= shard < self._num_shards:

@@ -62,3 +62,57 @@ class TestShardMapping:
         mapping.assign("x")
         assert store.get("v:x") == {}
         assert mapping.lookup("x") is not None
+
+
+def _placements(deployment, partitioner, handles):
+    """Create ``handles`` one transaction each on a fresh deployment of
+    the given kind; return the vertex -> shard mapping it recorded."""
+    from repro.cluster.process import ProcessWeaver
+    from repro.db import Weaver, WeaverConfig
+    from repro.db.operations import CreateVertex
+    from repro.sim.deployment import SimulatedWeaver
+
+    config = WeaverConfig(num_shards=3, partitioner=partitioner)
+    if deployment == "simulated":
+        sim = SimulatedWeaver(config)
+        for handle in handles:
+            sim.submit_transaction([CreateVertex(handle)],
+                                   new_vertices=(handle,))
+            sim.run(0.01)
+        return {h: sim.mapping.lookup(h) for h in handles}
+    db = ProcessWeaver(config) if deployment == "process" else Weaver(config)
+    try:
+        for handle in handles:
+            with db.begin_transaction() as tx:
+                tx.create_vertex(handle)
+        return {h: db.mapping.lookup(h) for h in handles}
+    finally:
+        if deployment == "process":
+            db.close()
+
+
+def _expected(partitioner, handles):
+    from repro.graph.partition import HashPartitioner, LdgPartitioner
+
+    if partitioner == "hash":
+        policy = HashPartitioner(3)
+        return {h: policy.assign(h) for h in handles}
+    if partitioner == "ldg":
+        policy = LdgPartitioner(3)
+        return {h: policy.assign(h, ()) for h in handles}
+    return {h: i % 3 for i, h in enumerate(handles)}
+
+
+@pytest.mark.parametrize("partitioner", ["round_robin", "hash", "ldg"])
+@pytest.mark.parametrize("deployment", ["direct", "simulated", "process"])
+def test_every_deployment_places_by_the_configured_partitioner(
+    deployment, partitioner
+):
+    handles = [f"p{i}" for i in range(12)]
+    placed = _placements(deployment, partitioner, handles)
+    assert placed == _expected(partitioner, handles)
+
+
+def test_unknown_partitioner_rejected():
+    with pytest.raises(ValueError, match="unknown partitioner"):
+        ShardMapping(TransactionalStore(), 2, partitioner="bogus")

@@ -11,6 +11,7 @@ mid-run with a recovery, zero strict-serializability violations, and a
 clean history digest.
 """
 
+import os
 import random
 import time
 
@@ -87,6 +88,27 @@ class TestParityWithDirectWeaver:
             want = direct.run_program(CountEdges(), handle).value
             got = process.run_program(CountEdges(), handle).value
             assert got == want
+
+
+class TestTempDirCleanup:
+    """close() removes the deployment's socket directory, also after a
+    worker was replaced (its peer socket was re-bound)."""
+
+    def test_close_removes_temp_dir(self):
+        db = ProcessWeaver(WeaverConfig(num_shards=2))
+        tmpdir = db._tmpdir
+        assert os.path.isdir(tmpdir)
+        db.close()
+        assert not os.path.exists(tmpdir)
+
+    def test_close_removes_temp_dir_after_recovery(self):
+        db = ProcessWeaver(WeaverConfig(num_shards=2))
+        tmpdir = db._tmpdir
+        load_tree(db, n=6)
+        db.kill_shard_worker(1)
+        db.recover_shard(1)
+        db.close()
+        assert not os.path.exists(tmpdir)
 
 
 class TestTraceChainParity:

@@ -140,3 +140,44 @@ class TestEndToEndCaching:
 
         result = db.run_program(GetNode(), "a", use_cache=True)
         assert result.value["handle"] == "a"
+
+
+@pytest.mark.parametrize("deployment", ["direct", "process"])
+def test_cache_key_includes_program_configuration(deployment):
+    """Two configurations of one program class are different programs:
+    WeightedShortestPath("x") must not be served the result cached for
+    WeightedShortestPath("w") under equal params."""
+    from repro.cluster.process import ProcessWeaver
+    from repro.programs import params
+    from repro.programs.analytics import WeightedShortestPath
+
+    config = WeaverConfig(enable_program_cache=True)
+    db = Weaver(config) if deployment == "direct" else ProcessWeaver(config)
+    try:
+        with db.begin_transaction() as tx:
+            tx.create_vertex("a")
+            tx.create_vertex("b")
+            edge = tx.create_edge("a", "b")
+            tx.set_edge_property("a", edge, "w", 2.0)
+            tx.set_edge_property("a", edge, "x", 1.0)
+        prm = params(target="b")
+        by_w = db.run_program(
+            WeightedShortestPath("w"), "a", prm, use_cache=True
+        )
+        by_x = db.run_program(
+            WeightedShortestPath("x"), "a", prm, use_cache=True
+        )
+        assert WeightedShortestPath.distance(by_w) == 2.0
+        assert WeightedShortestPath.distance(by_x) == 1.0
+        # Same configuration again: a genuine hit.
+        again = db.run_program(
+            WeightedShortestPath("w"), "a", prm, use_cache=True
+        )
+        assert WeightedShortestPath.distance(again) == 2.0
+        completes = db.tracer.spans(kind="program.complete")
+        assert [span.attr("cache_hit") for span in completes] == [
+            None, None, True,
+        ]
+    finally:
+        if deployment == "process":
+            db.close()
